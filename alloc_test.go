@@ -7,7 +7,7 @@ import (
 	"smartsouth/internal/openflow"
 )
 
-// TestLookupZeroAllocOnTemplate pins the flow-table dispatch index's
+// TestLookupZeroAllocOnTemplate pins the compiled flow-table matcher's
 // zero-allocation property against a real installed SmartSouth program
 // (not a synthetic table): looking up a traversal packet in the snapshot
 // template's entry table must not allocate, hit or miss.

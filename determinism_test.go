@@ -27,7 +27,7 @@ func ring20SweepFingerprint(extra ...Option) string {
 
 	var b strings.Builder
 
-	d.Net.ObserveHops(func(h Hop, pkt *Packet, delivered bool) {
+	d.Net.ObserveHops(func(_ Time, h Hop, pkt *Packet, delivered bool) {
 		fmt.Fprintf(&b, "hop %d:%d->%d:%d eth=%#04x size=%d delivered=%v\n",
 			h.From, h.FromPort, h.To, h.ToPort, pkt.EthType, pkt.Size(), delivered)
 	})

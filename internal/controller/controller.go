@@ -90,13 +90,11 @@ func (c *Controller) ClearInbox() {
 
 // InstallProgram applies a compiled program, batched per switch: entries
 // and groups are cloned onto each switch (a program is a reusable compile
-// artifact), the switch's dispatch matcher is recompiled — install is the
-// one seam both backends' lowerings pass through, so compiled dispatch
-// needs no per-mutator invalidation — and the program is retained for
-// declarative accounting (rule-space figures are read off installed
-// programs, not live switches). On a sharded network the materialization
-// and dispatch compilation run concurrently across shards (each touches
-// only its target switch); accounting stays serial.
+// artifact) and the program is retained for declarative accounting
+// (rule-space figures are read off installed programs, not live
+// switches). On a sharded network the materialization runs concurrently
+// across shards (each touches only its target switch); accounting stays
+// serial.
 func (c *Controller) InstallProgram(p *openflow.Program) {
 	ids := p.SwitchIDs()
 	for _, id := range ids {
@@ -106,9 +104,7 @@ func (c *Controller) InstallProgram(p *openflow.Program) {
 		c.Stats.InstallMsgs++ // one batched transaction per switch
 	}
 	c.Net.InstallBatch(ids, func(id int) {
-		sw := c.Net.Switch(id)
-		p.At(id).Materialize(sw)
-		sw.CompileDispatch()
+		p.At(id).Materialize(c.Net.Switch(id))
 	})
 	if !p.Transient {
 		c.programs = append(c.programs, p)

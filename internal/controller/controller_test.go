@@ -74,6 +74,15 @@ func TestDiscoverTopologyFindsEveryLink(t *testing.T) {
 	if c.Stats.PacketIns != 2*g.NumEdges() {
 		t.Errorf("packet-ins = %d, want %d", c.Stats.PacketIns, 2*g.NumEdges())
 	}
+	// The per-rule punt installs are never compiled explicitly; each probe
+	// arrival is still one matcher-served lookup.
+	var st openflow.ScanStats
+	for sw := 0; sw < net.NumSwitches(); sw++ {
+		st.Merge(net.Switch(sw).ScanStats())
+	}
+	if st.MatcherLookups != uint64(2*g.NumEdges()) || st.Lookups() != st.MatcherLookups {
+		t.Errorf("scan stats %+v, want %d matcher lookups and nothing else", st, 2*g.NumEdges())
+	}
 }
 
 func TestDiscoverTopologyMissesFailedLink(t *testing.T) {

@@ -51,10 +51,8 @@ func TestCompiledDispatchMatchesLinearBothBackends(t *testing.T) {
 				if ft.Len() == 0 {
 					continue
 				}
-				if !ft.Compiled() {
-					t.Fatalf("%s: switch %d table %d not compiled after install", be.Name(), sw, id)
-				}
 				tables++
+				before := ft.ScanStats().MatcherLookups
 				for i := 0; i < 200; i++ {
 					p := openflow.NewPacket(eths[r.Intn(len(eths))], 8)
 					p.InPort = ports[r.Intn(len(ports))]
@@ -66,6 +64,9 @@ func TestCompiledDispatchMatchesLinearBothBackends(t *testing.T) {
 							be.Name(), sw, id, i, got, want, p.EthType, p.InPort, p.Tag)
 					}
 					lookups++
+				}
+				if n := ft.ScanStats().MatcherLookups - before; n != 200 {
+					t.Fatalf("%s: switch %d table %d: matcher served %d of 200 lookups", be.Name(), sw, id, n)
 				}
 			}
 		}

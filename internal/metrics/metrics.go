@@ -14,6 +14,7 @@ package metrics
 
 import (
 	"encoding/json"
+	"slices"
 	"sort"
 	"sync"
 
@@ -113,6 +114,23 @@ func (r *Registry) Register(service string, slot, slots int, eths ...uint16) *Se
 	}
 	r.services = append(r.services, m)
 	return m
+}
+
+// Release drops the entry of the service occupying slot and frees its
+// EtherType claims for the next registrant; the deployment calls it when
+// it uninstalls the service. Until another service claims a released
+// EtherType, its traffic is unattributed.
+func (r *Registry) Release(slot int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	m := r.bySlotLocked(slot)
+	if m == nil {
+		return
+	}
+	for _, eth := range m.EtherTypes {
+		delete(r.byEth, eth)
+	}
+	r.services = slices.DeleteFunc(r.services, func(x *ServiceMetrics) bool { return x == m })
 }
 
 // bySlotLocked returns the entry whose slot range covers slot, or nil.

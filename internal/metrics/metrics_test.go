@@ -55,6 +55,28 @@ func TestRegistryAttribution(t *testing.T) {
 	_ = b
 }
 
+func TestRegistryRelease(t *testing.T) {
+	r := NewRegistry()
+	r.Register("chaincast", 0, 2, 0x8809)
+	keep := r.Register("anycast", 2, 1, 0x8803)
+	r.Release(1) // any covered slot releases the whole service
+	if r.ByEth(0x8809) != nil {
+		t.Fatal("released EtherType still claimed")
+	}
+	if snap := r.Snapshot(); len(snap) != 1 || snap[0].Service != "anycast" {
+		t.Fatalf("snapshot after release: %+v", snap)
+	}
+	again := r.Register("chaincast", 3, 2, 0x8809)
+	r.NoteHop(10, 0x8809, 40)
+	if r.ByEth(0x8809) != again || again.InBandMsgs != 1 || keep.InBandMsgs != 0 {
+		t.Fatalf("re-registered service not credited: %+v", again)
+	}
+	r.Release(7) // no occupant: no-op
+	if len(r.Snapshot()) != 2 {
+		t.Fatal("releasing an empty slot dropped an entry")
+	}
+}
+
 func TestRegistryInstallAttributionBySlot(t *testing.T) {
 	r := NewRegistry()
 	r.Register("chaincast", 0, 2, 0x8809) // spans slots 0 and 1

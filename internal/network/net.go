@@ -118,7 +118,7 @@ type Network struct {
 	flightDec []flightDecoder
 
 	prevMatcher    uint64
-	prevFallback   uint64
+	prevState      uint64
 	prevScanned    uint64
 	prevCommits    uint64
 	prevFlightRecs uint64
@@ -235,9 +235,10 @@ func (n *Network) Shards() int {
 // and group-bucket choices when structured recording is on.
 type ExecObserver func(sw, inPort int, pkt *openflow.Packet, res *openflow.Result)
 
-// HopObserver observes one attempted link crossing, delivered or not —
-// the same signature as the legacy OnHop field.
-type HopObserver func(hop Hop, pkt *openflow.Packet, delivered bool)
+// HopObserver observes one attempted link crossing, delivered or not. at
+// is the transmit time on the sending switch's lane, which on a sharded
+// network runs ahead of Sim.Now() (the control lane's clock).
+type HopObserver func(at Time, hop Hop, pkt *openflow.Packet, delivered bool)
 
 // ObserveExec registers an execution observer and turns on structured
 // step recording on every switch. Unlike the OnHop/OnPacketIn fields,

@@ -388,7 +388,7 @@ func (l *lane) send(sw, port int, pkt *openflow.Packet) {
 			n.OnHop(h, pkt, delivered)
 		}
 		for _, ob := range n.hopObs {
-			ob(h, pkt, delivered)
+			ob(l.sim.now, h, pkt, delivered)
 		}
 		if l.worker {
 			n.obsMu.Unlock()
@@ -784,11 +784,11 @@ func (n *Network) scheduleMerged(s *Sim, buf []xev) {
 // InstallBatch applies install to each of the given switches, grouped by
 // owning shard and run concurrently across shards when the network is
 // sharded (install must then be safe to call concurrently for switches of
-// different shards — table materialization and dispatch compilation
-// touch only the target switch). On a single-loop network — or when the
-// runtime has a single CPU to offer, where goroutine fan-out is pure
-// scheduling overhead — it simply runs in order, preserving the classic
-// install sequence byte for byte.
+// different shards — table materialization touches only the target
+// switch). On a single-loop network — or when the runtime has a single
+// CPU to offer, where goroutine fan-out is pure scheduling overhead — it
+// simply runs in order, preserving the classic install sequence byte for
+// byte.
 func (n *Network) InstallBatch(ids []int, install func(id int)) {
 	if !n.multi || len(ids) < 2 || runtime.GOMAXPROCS(0) == 1 {
 		for _, id := range ids {

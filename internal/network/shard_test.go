@@ -192,7 +192,7 @@ func TestShardedObserverSerialization(t *testing.T) {
 	n := New(g, Options{Shards: 8})
 	lineForwarding(n)
 	hops := 0
-	n.ObserveHops(func(Hop, *openflow.Packet, bool) { hops++ })
+	n.ObserveHops(func(Time, Hop, *openflow.Packet, bool) { hops++ })
 	for i := 0; i < 16; i++ {
 		n.Inject(1+i, 1, openflow.NewPacket(testEth, 2), Time(i)*100)
 	}

@@ -211,10 +211,10 @@ func (n *Network) Run() (int, error) {
 		cm += sw.StateTransitions()
 	}
 	st.MatcherLookups += agg.MatcherLookups - n.prevMatcher
-	st.FallbackLookups += agg.FallbackLookups - n.prevFallback
+	st.StateLookups += agg.StateLookups - n.prevState
 	st.FlowScanned += agg.Scanned - n.prevScanned
 	st.StateCommits += cm - n.prevCommits
-	n.prevMatcher, n.prevFallback = agg.MatcherLookups, agg.FallbackLookups
+	n.prevMatcher, n.prevState = agg.MatcherLookups, agg.StateLookups
 	n.prevScanned, n.prevCommits = agg.Scanned, cm
 	for _, l := range n.lanes {
 		if l != n.ctl && l.sim.stats != nil {

@@ -109,9 +109,6 @@ func (a *Agent) handle(conn *Conn, h ofwire.Header, body []byte) error {
 				return fmt.Errorf("ofconn: agent: message type %d not allowed in a batch", sh.Type)
 			}
 		}
-		// A batch is the remote install transaction; recompiling here gives
-		// wire-installed programs the same compiled dispatch as local ones.
-		a.SW.CompileDispatch()
 		return nil
 	case ofwire.TypePacketOut:
 		po, err := ofwire.ParsePacketOut(body)

@@ -64,12 +64,10 @@ func BenchmarkTableLookup(b *testing.B) {
 
 // BenchmarkTableLookupIndexed measures lookup with exact-EtherType rules —
 // the shape every SmartSouth-compiled rule has — against how many services
-// share the table. The table is compiled, as every installed table now is:
-// the matcher keys the probe by (EtherType, InPort) and then by the
-// discriminating field value, so the worst-case in-bucket scan collapses
-// to a single candidate and cost stays flat as services multiply. The
-// /fallback arm measures the same worst case on an uncompiled table (the
-// bucket-scan path a mutated table drops back to).
+// share the table. The matcher keys the probe by (EtherType, InPort) and
+// then by the discriminating field value, so the worst-case in-bucket
+// scan collapses to a single candidate and cost stays flat as services
+// multiply.
 func BenchmarkTableLookupIndexed(b *testing.B) {
 	f := Field{Off: 0, Bits: 16}
 	const rulesPerService = 16
@@ -99,14 +97,9 @@ func BenchmarkTableLookupIndexed(b *testing.B) {
 	}
 	for _, services := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("services=%d", services), func(b *testing.B) {
-			t := build(services)
-			t.Compile()
-			probe(b, t)
+			probe(b, build(services))
 		})
 	}
-	b.Run("fallback/services=64", func(b *testing.B) {
-		probe(b, build(64))
-	})
 }
 
 // BenchmarkPipeline runs a 3-table pipeline with a fast-failover group,

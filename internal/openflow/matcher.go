@@ -3,7 +3,8 @@ package openflow
 import "slices"
 
 // This file implements the compiled dispatch matcher: an immutable
-// decision-tree built from a flow table's entries at install time.
+// decision-tree built from a flow table's entries, and the table's only
+// lookup structure.
 //
 // Shape. The tree keys a single flat index on (EtherType, InPort) — every
 // node holds the complete candidate set for packets arriving with that
@@ -14,14 +15,12 @@ import "slices"
 // packets on ports no exact entry names, and entries that wildcard the
 // EtherType live on a table-level wildcard list. Duplicating the (few)
 // port-wildcard entries into every named port's node trades a little
-// install-time memory for one probe on the hot path: the common lookup is
+// compile-time memory for one probe on the hot path: the common lookup is
 // one node probe plus one value probe, no cross-list merge. Entries the
 // node cannot place under a value key fall through to its residual linear
 // list. Every list is kept in (priority desc, insertion asc) order, so
 // the best of the per-list first matches — combined with better() — is
-// exactly the entry a full priority-ordered scan would return. This is
-// the same correctness argument the (EtherType, InPort) bucket index
-// already relies on, with one more keyed level.
+// exactly the entry a full priority-ordered scan would return.
 //
 // Criteria already tested by the path to a list are stripped from its
 // entries, and what remains is compiled to crit records — bit range,
@@ -32,11 +31,59 @@ import "slices"
 // per-node slices scattered across the heap, which matters once a sweep
 // touches hundreds of switches and their caches are cold.
 //
-// Lifecycle. The matcher is immutable once built; FlowTable mutators bump
-// the table's version instead of touching it. Lookup uses the matcher
-// only while its compiled-at version matches the table, so a mutated
-// table falls back to the (slower, always-correct) bucket scan until the
-// install path recompiles it via Switch.CompileDispatch.
+// Lifecycle. The matcher is immutable once built. FlowTable mutators drop
+// it, and the next Lookup compiles a fresh one from the ordered entry
+// list: a changed table recompiles on its next lookup. There is no
+// fallback path and no compile step for callers to remember. Installs
+// batch their mutations, so a table compiles once per install, on the
+// first packet that reaches it.
+
+// anyInPort is the matcher's key for entries that wildcard the ingress
+// port. It cannot collide with a packet's InPort: reserved ports are
+// small negative constants and physical ports are small positives.
+const anyInPort = int32(-1 << 30)
+
+// ftKey is the exact-match dispatch key of an entry: its EtherType plus,
+// where present, its ingress port. Entries that wildcard the EtherType do
+// not get a key and live on the wildcard list instead.
+type ftKey struct {
+	eth int32
+	in  int32
+}
+
+// keyOf classifies an entry for the matcher's index. ok is false when the
+// entry wildcards the EtherType and must go on the wildcard list.
+func keyOf(m Match) (k ftKey, ok bool) {
+	if m.EthType == AnyEthType {
+		return ftKey{}, false
+	}
+	k = ftKey{eth: int32(m.EthType), in: anyInPort}
+	if m.InPort != AnyPort {
+		k.in = int32(m.InPort)
+	}
+	return k, true
+}
+
+// better returns the entry that wins overall ordering: higher priority, or
+// earlier insertion on a tie. Either argument may be nil.
+func better(a, b *FlowEntry) *FlowEntry {
+	if a == nil {
+		return b
+	}
+	if b == nil {
+		return a
+	}
+	if a.Priority != b.Priority {
+		if a.Priority > b.Priority {
+			return a
+		}
+		return b
+	}
+	if a.seq <= b.seq {
+		return a
+	}
+	return b
+}
 
 // crit is one residual field criterion in compiled form: the field
 // reduced to its bit range, the mask resolved (a zero FieldMatch mask
@@ -169,10 +216,9 @@ const smallEthMax = 16
 
 // matcher is the compiled dispatch tree of one FlowTable.
 type matcher struct {
-	version uint64 // FlowTable.version this matcher was compiled at
-	eths    []ethNode
-	ethIdx  map[int32]int32 // index into eths; nil while the set is small
-	wild    mList           // entries with a wildcarded EtherType
+	eths   []ethNode
+	ethIdx map[int32]int32 // index into eths; nil while the set is small
+	wild   mList           // entries with a wildcarded EtherType
 }
 
 func (m *matcher) ethAt(e int32) *ethNode {
@@ -338,9 +384,9 @@ func buildNode(list []*FlowEntry, portKeyed bool) *mNode {
 const smallSplitMax = 12
 
 // compileMatcher builds the dispatch tree from entries (already in
-// match order) for a table at the given version.
-func compileMatcher(entries []*FlowEntry, version uint64) *matcher {
-	m := &matcher{version: version}
+// match order).
+func compileMatcher(entries []*FlowEntry) *matcher {
+	m := &matcher{}
 	// Partition by exact EtherType, in order, remembering each type's
 	// named ingress ports; entries without an exact EtherType go to the
 	// wildcard list directly.
@@ -503,20 +549,4 @@ func (m *matcher) pack() {
 			idx++
 		}
 	}
-}
-
-// Compile (re)builds the table's compiled matcher from the current
-// entries. The matcher is immutable and versioned: any later mutation
-// nils the cached pointer and sends Lookup back to the fallback scan
-// until the next Compile. Install is an off-hot-path phase, so compile
-// cost never taxes packet time.
-func (t *FlowTable) Compile() {
-	t.m = compileMatcher(t.entries, t.version)
-	t.cur = t.m
-}
-
-// Compiled reports whether Lookup is currently served by the compiled
-// matcher (a matcher exists and no mutation has outdated it).
-func (t *FlowTable) Compiled() bool {
-	return t.cur != nil
 }

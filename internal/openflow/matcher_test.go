@@ -8,8 +8,7 @@ import (
 
 // refLookup is the reference semantics of Lookup: first match over the
 // full entry list, which FlowTable keeps in (priority desc, insertion
-// asc) order. Every dispatch structure — bucket index and compiled
-// matcher alike — must agree with it on every packet.
+// asc) order. The compiled matcher must agree with it on every packet.
 func refLookup(t *FlowTable, p *Packet) *FlowEntry {
 	for _, e := range t.entries {
 		if e.Match.Matches(p) {
@@ -112,56 +111,93 @@ func randFuzzPacket(r *rand.Rand, cfg fuzzCfg) *Packet {
 	return p
 }
 
-// TestMatcherDifferentialFuzz replays random packets through the
-// compiled matcher, the fallback bucket scan and the reference linear
-// scan on randomly generated tables, asserting all three pick the same
-// entry — including priority ties, where insertion order decides.
+// TestMatcherDifferentialFuzz replays random packets through Lookup and
+// the reference linear scan on randomly generated tables, asserting both
+// pick the same entry — including priority ties, where insertion order
+// decides.
 func TestMatcherDifferentialFuzz(t *testing.T) {
 	for _, cfg := range fuzzCfgs {
 		t.Run(cfg.name, func(t *testing.T) {
 			for seed := int64(0); seed < 16; seed++ {
 				r := rand.New(rand.NewSource(seed))
 				ft := randFuzzTable(r, cfg)
-				ft.Compile()
-				if !ft.Compiled() {
-					t.Fatalf("seed %d: table not compiled", seed)
-				}
 				for i := 0; i < 500; i++ {
 					p := randFuzzPacket(r, cfg)
-					want := refLookup(ft, p)
-					if got, _ := ft.m.lookup(p); got != want {
-						t.Fatalf("seed %d pkt %d: matcher chose %v, reference %v (pkt eth=%#x in=%d ttl=%d tag=%x)",
+					if got, want := ft.Lookup(p), refLookup(ft, p); got != want {
+						t.Fatalf("seed %d pkt %d: Lookup chose %v, reference %v (pkt eth=%#x in=%d ttl=%d tag=%x)",
 							seed, i, got, want, p.EthType, p.InPort, p.TTL, p.Tag)
 					}
-					if got := ft.Lookup(p); got != want {
-						t.Fatalf("seed %d pkt %d: Lookup chose %v, reference %v", seed, i, got, want)
-					}
 				}
-				// The same packets must agree on the fallback path too:
-				// invalidate the cached matcher the way mutators do so
-				// Lookup distrusts it.
-				ft.version++
-				ft.cur = nil
-				r2 := rand.New(rand.NewSource(seed + 1000))
-				for i := 0; i < 200; i++ {
-					p := randFuzzPacket(r2, cfg)
-					if got, want := ft.Lookup(p), refLookup(ft, p); got != want {
-						t.Fatalf("seed %d pkt %d: fallback chose %v, reference %v", seed, i, got, want)
-					}
-				}
-				st := ft.ScanStats()
-				if st.MatcherLookups == 0 || st.FallbackLookups == 0 {
-					t.Fatalf("seed %d: expected both dispatch paths exercised, got %+v", seed, st)
+				if st := ft.ScanStats(); st.MatcherLookups != 500 {
+					t.Fatalf("seed %d: %d matcher lookups, want 500", seed, st.MatcherLookups)
 				}
 			}
 		})
 	}
 }
 
-// TestMatcherObservesMutation pins the version-guard lifecycle: a
-// post-compile edit must immediately divert Lookup to the fallback scan
-// (which sees the edit), and the next rebuild must fold the edit into
-// the matcher.
+// TestMatcherMutationFuzz interleaves every FlowTable mutator with
+// lookups on random tables and checks each lookup against the reference
+// scan: a matcher compiled before a mutation must never serve a lookup
+// after it.
+func TestMatcherMutationFuzz(t *testing.T) {
+	for _, cfg := range fuzzCfgs {
+		t.Run(cfg.name, func(t *testing.T) {
+			for seed := int64(0); seed < 8; seed++ {
+				r := rand.New(rand.NewSource(seed))
+				ft := randFuzzTable(r, cfg)
+				next := cfg.entries
+				entry := func() *FlowEntry {
+					next++
+					return &FlowEntry{Priority: r.Intn(5), Match: randMatch(r, cfg),
+						Cookie: fmt.Sprintf("e%d", next), Goto: NoGoto}
+				}
+				lookups := uint64(0)
+				for step := 0; step < 200; step++ {
+					var op string
+					switch k := r.Intn(20); {
+					case k < 6:
+						op = "Add"
+						ft.Add(entry())
+					case k < 10:
+						op = "AddBatch"
+						batch := make([]*FlowEntry, r.Intn(6))
+						for i := range batch {
+							batch[i] = entry()
+						}
+						ft.AddBatch(batch)
+					case k < 13:
+						op = "RemoveIf"
+						prio := r.Intn(5)
+						ft.RemoveIf(func(e *FlowEntry) bool { return e.Priority == prio && r.Intn(2) == 0 })
+					case k < 16:
+						op = "RemoveByCookiePrefix"
+						ft.RemoveByCookiePrefix(fmt.Sprintf("e%d", r.Intn(next)))
+					case k < 17:
+						op = "Clear"
+						ft.Clear()
+					default:
+						op = "none"
+					}
+					for i := 0; i < 10; i++ {
+						p := randFuzzPacket(r, cfg)
+						if got, want := ft.Lookup(p), refLookup(ft, p); got != want {
+							t.Fatalf("seed %d step %d after %s: Lookup chose %v, reference %v",
+								seed, step, op, got, want)
+						}
+						lookups++
+					}
+				}
+				if st := ft.ScanStats(); st.MatcherLookups != lookups {
+					t.Fatalf("seed %d: %d matcher lookups, want %d", seed, st.MatcherLookups, lookups)
+				}
+			}
+		})
+	}
+}
+
+// TestMatcherObservesMutation pins the lifecycle: every mutator drops the
+// compiled matcher, and the next lookup compiles one that sees the edit.
 func TestMatcherObservesMutation(t *testing.T) {
 	ft := &FlowTable{ID: 0}
 	mk := func(prio int, cookie string) *FlowEntry {
@@ -169,80 +205,29 @@ func TestMatcherObservesMutation(t *testing.T) {
 		m.InPort = 1
 		return &FlowEntry{Priority: prio, Match: m, Cookie: cookie, Goto: NoGoto}
 	}
-	a := mk(1, "a")
-	ft.Add(a)
-	ft.Compile()
 	p := NewPacket(0x8801, 2)
 	p.InPort = 1
-
-	if got := ft.Lookup(p); got != a {
-		t.Fatalf("compiled lookup: got %v, want a", got)
-	}
-	if st := ft.ScanStats(); st.MatcherLookups != 1 || st.FallbackLookups != 0 {
-		t.Fatalf("expected a matcher-path lookup, got %+v", st)
-	}
-
-	// Higher-priority add: the stale matcher must not serve it.
-	b := mk(2, "b")
-	ft.Add(b)
-	if ft.Compiled() {
-		t.Fatal("matcher still marked current after Add")
-	}
-	if got := ft.Lookup(p); got != b {
-		t.Fatalf("post-add fallback lookup: got %v, want b", got)
-	}
-	if st := ft.ScanStats(); st.FallbackLookups != 1 {
-		t.Fatalf("expected a fallback-path lookup, got %+v", st)
-	}
-
-	// Rebuild: the matcher must now serve the new entry.
-	ft.Compile()
-	if !ft.Compiled() {
-		t.Fatal("matcher not current after Compile")
-	}
-	if got := ft.Lookup(p); got != b {
-		t.Fatalf("recompiled lookup: got %v, want b", got)
-	}
-
-	// Removal through the same lifecycle.
-	if n := ft.RemoveByCookiePrefix("b"); n != 1 {
-		t.Fatalf("removed %d entries, want 1", n)
-	}
-	if ft.Compiled() {
-		t.Fatal("matcher still marked current after removal")
-	}
-	if got := ft.Lookup(p); got != a {
-		t.Fatalf("post-remove fallback lookup: got %v, want a", got)
-	}
-	ft.Compile()
-	if got := ft.Lookup(p); got != a {
-		t.Fatalf("recompiled post-remove lookup: got %v, want a", got)
-	}
-}
-
-// TestCompileDispatchRecompilesAllTables pins the switch-level seam the
-// install path uses: one CompileDispatch call must bring every table's
-// matcher back in sync.
-func TestCompileDispatchRecompilesAllTables(t *testing.T) {
-	sw := NewSwitch(0, 4)
-	for id := 0; id < 3; id++ {
-		m := MatchEth(uint16(0x8800 + id))
-		sw.Table(id).Add(&FlowEntry{Priority: 1, Match: m, Cookie: fmt.Sprintf("t%d", id), Goto: NoGoto})
-	}
-	sw.CompileDispatch()
-	for id := 0; id < 3; id++ {
-		if !sw.Table(id).Compiled() {
-			t.Fatalf("table %d not compiled", id)
+	step := func(what string, mutate func(), want *FlowEntry) {
+		t.Helper()
+		mutate()
+		if ft.m != nil {
+			t.Fatalf("%s: matcher survived the mutation", what)
+		}
+		if got := ft.Lookup(p); got != want {
+			t.Fatalf("%s: Lookup chose %v, want %v", what, got, want)
+		}
+		if ft.m == nil {
+			t.Fatalf("%s: Lookup did not compile the matcher", what)
 		}
 	}
-	sw.Table(1).Add(&FlowEntry{Priority: 2, Match: MatchEth(0x8801), Cookie: "new", Goto: NoGoto})
-	if sw.Table(1).Compiled() {
-		t.Fatal("table 1 matcher still current after mutation")
-	}
-	sw.CompileDispatch()
-	for id := 0; id < 3; id++ {
-		if !sw.Table(id).Compiled() {
-			t.Fatalf("table %d not compiled after CompileDispatch", id)
-		}
+	a, b, c := mk(1, "a"), mk(2, "b"), mk(3, "c")
+	step("Add", func() { ft.Add(a) }, a)
+	step("higher-priority Add", func() { ft.Add(b) }, b)
+	step("RemoveByCookiePrefix", func() { ft.RemoveByCookiePrefix("b") }, a)
+	step("AddBatch", func() { ft.AddBatch([]*FlowEntry{c, b}) }, c)
+	step("RemoveIf", func() { ft.RemoveIf(func(e *FlowEntry) bool { return e == c }) }, b)
+	step("Clear", func() { ft.Clear() }, nil)
+	if st := ft.ScanStats(); st.MatcherLookups != 6 || st.StateLookups != 0 {
+		t.Fatalf("ScanStats = %+v, want 6 matcher lookups", st)
 	}
 }

@@ -255,8 +255,8 @@ func (sw *Switch) tableAt(id int) *FlowTable {
 
 // ScanStats sums the cumulative dispatch counters across all tables. The
 // network layer diffs it at Run boundaries to feed the process-wide
-// telemetry. State tables have no compiled matcher; their lookups count
-// as fallback-path.
+// telemetry. State tables are exact-match keyed and have no compiled
+// matcher; their lookups count as StateLookups.
 func (sw *Switch) ScanStats() ScanStats {
 	var agg ScanStats
 	for _, t := range sw.tableList {
@@ -264,21 +264,10 @@ func (sw *Switch) ScanStats() ScanStats {
 	}
 	for _, t := range sw.stateList {
 		l, s := t.ScanStats()
-		agg.FallbackLookups += l
+		agg.StateLookups += l
 		agg.Scanned += s
 	}
 	return agg
-}
-
-// CompileDispatch (re)compiles every flow table's matcher from its
-// current entries — the third phase of an install (lower → verify →
-// compile-dispatch), invoked by the install and uninstall paths after
-// they finish mutating the tables. State tables are exact-match keyed
-// already and need no compilation.
-func (sw *Switch) CompileDispatch() {
-	for _, t := range sw.tableList {
-		t.Compile()
-	}
 }
 
 // TableIDs returns the IDs of all non-empty tables — flow and state — in

@@ -52,13 +52,13 @@ func (m *Metrics) WriteProm(w io.Writer) {
 	promCounter(w, "smartsouth_pool_misses_total", "packet freelist Gets that allocated", m.PoolMisses.Load())
 	promGauge(w, "smartsouth_pool_hit_rate", "packet freelist hit rate (1 = every clone recycled)", m.PoolHitRate())
 
-	promCounter(w, "smartsouth_flowtable_lookups_total", "FlowTable lookups", m.FlowLookups.Load())
-	promCounter(w, "smartsouth_flowtable_matcher_lookups_total", "lookups served by the compiled matcher", m.MatcherLookups.Load())
-	promCounter(w, "smartsouth_flowtable_fallback_lookups_total", "lookups served by the linear fallback scan", m.FallbackLookups.Load())
+	promCounter(w, "smartsouth_flowtable_lookups_total", "pipeline lookups (flow + state tables)", m.FlowLookups.Load())
+	promCounter(w, "smartsouth_flowtable_matcher_lookups_total", "flow-table lookups served by the compiled matcher", m.MatcherLookups.Load())
+	promCounter(w, "smartsouth_statetable_lookups_total", "state-table lookups", m.StateLookups.Load())
 	promCounter(w, "smartsouth_flowtable_entries_scanned_total", "flow entries probed across all lookups", m.FlowScanned.Load())
 	promCounter(w, "smartsouth_state_commits_total", "committed state-table writes (stateful-backend EFSM transitions)", m.StateCommits.Load())
 	if lk := m.FlowLookups.Load(); lk > 0 {
-		promGauge(w, "smartsouth_flowtable_fanout", "mean entries probed per lookup (dispatch-index fan-out)",
+		promGauge(w, "smartsouth_flowtable_fanout", "mean entries probed per lookup (dispatch fan-out)",
 			float64(m.FlowScanned.Load())/float64(lk))
 	}
 
@@ -150,12 +150,12 @@ type Snapshot struct {
 	PoolMisses  int64   `json:"poolMisses"`
 	PoolHitRate float64 `json:"poolHitRate"`
 
-	FlowLookups     int64   `json:"flowLookups"`
-	MatcherLookups  int64   `json:"matcherLookups"`
-	FallbackLookups int64   `json:"fallbackLookups"`
-	FlowScanned     int64   `json:"flowScanned"`
-	FlowFanout      float64 `json:"flowFanout"`
-	StateCommits    int64   `json:"stateCommits"`
+	FlowLookups    int64   `json:"flowLookups"`
+	MatcherLookups int64   `json:"matcherLookups"`
+	StateLookups   int64   `json:"stateLookups"`
+	FlowScanned    int64   `json:"flowScanned"`
+	FlowFanout     float64 `json:"flowFanout"`
+	StateCommits   int64   `json:"stateCommits"`
 
 	SweepRuns    int64   `json:"sweepRuns"`
 	SweepJobs    int64   `json:"sweepJobs"`
@@ -197,7 +197,7 @@ func (m *Metrics) Snap() Snapshot {
 		PacketIns: m.PacketIns.Load(), SelfDeliver: m.SelfDeliver.Load(),
 		PoolGets: m.PoolGets.Load(), PoolMisses: m.PoolMisses.Load(), PoolHitRate: m.PoolHitRate(),
 		FlowLookups: m.FlowLookups.Load(), FlowScanned: m.FlowScanned.Load(),
-		MatcherLookups: m.MatcherLookups.Load(), FallbackLookups: m.FallbackLookups.Load(),
+		MatcherLookups: m.MatcherLookups.Load(), StateLookups: m.StateLookups.Load(),
 		StateCommits: m.StateCommits.Load(),
 		SweepRuns:    m.SweepRuns.Load(), SweepJobs: m.SweepJobs.Load(),
 		SweepBusyNs: m.SweepBusyNs.Load(), SweepWallNs: m.SweepWallNs.Load(),

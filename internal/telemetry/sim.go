@@ -49,16 +49,15 @@ type Metrics struct {
 	PoolGets   Counter // packet clones drawn from the freelist
 	PoolMisses Counter // Gets that had to allocate a fresh packet
 
-	// FlowTable dispatch: total lookups and entries probed (the ratio is
+	// Pipeline dispatch: total lookups and entries probed (the ratio is
 	// the dispatch fan-out; 1.0 = every lookup hit its first candidate),
-	// split into lookups served by the compiled matcher vs the linear
-	// fallback scan. FallbackLookups staying near zero is the health
-	// signal that installs are recompiling dispatch; a stale matcher
-	// bleeds lookups into FallbackLookups instead of undercounting.
-	FlowLookups     Counter // total = matcher + fallback
-	FlowScanned     Counter
-	MatcherLookups  Counter // lookups served by the compiled matcher
-	FallbackLookups Counter // lookups served by the linear/bucket fallback
+	// split into flow-table lookups, all served by the compiled matcher,
+	// and state-table lookups (the stateful backend's exact-match XFSM
+	// probes).
+	FlowLookups    Counter // total = matcher + state
+	FlowScanned    Counter
+	MatcherLookups Counter // flow-table lookups (compiled matcher)
+	StateLookups   Counter // state-table lookups
 
 	// StateCommits counts committed state-table writes — the stateful
 	// backend's wire-speed EFSM transitions. Zero under the of13 backend.
@@ -171,11 +170,11 @@ type SimLocal struct {
 	PacketIns   uint64
 	SelfDeliver uint64
 
-	PoolGets        uint64
-	MatcherLookups  uint64
-	FallbackLookups uint64
-	FlowScanned     uint64
-	StateCommits    uint64
+	PoolGets       uint64
+	MatcherLookups uint64
+	StateLookups   uint64
+	FlowScanned    uint64
+	StateCommits   uint64
 
 	FlightRecords uint64
 	SpanRecords   uint64
@@ -229,7 +228,7 @@ func (s *SimLocal) MergeFrom(o *SimLocal) {
 	move(&s.SelfDeliver, &o.SelfDeliver)
 	move(&s.PoolGets, &o.PoolGets)
 	move(&s.MatcherLookups, &o.MatcherLookups)
-	move(&s.FallbackLookups, &o.FallbackLookups)
+	move(&s.StateLookups, &o.StateLookups)
 	move(&s.FlowScanned, &o.FlowScanned)
 	move(&s.StateCommits, &o.StateCommits)
 	move(&s.FlightRecords, &o.FlightRecords)
@@ -270,11 +269,11 @@ func (s *SimLocal) FlushTo(m *Metrics, simNs, wallNs int64, err bool) {
 	flush(&m.PacketIns, &s.PacketIns)
 	flush(&m.SelfDeliver, &s.SelfDeliver)
 	flush(&m.PoolGets, &s.PoolGets)
-	if lk := s.MatcherLookups + s.FallbackLookups; lk > 0 {
+	if lk := s.MatcherLookups + s.StateLookups; lk > 0 {
 		m.FlowLookups.Add(int64(lk))
 	}
 	flush(&m.MatcherLookups, &s.MatcherLookups)
-	flush(&m.FallbackLookups, &s.FallbackLookups)
+	flush(&m.StateLookups, &s.StateLookups)
 	flush(&m.FlowScanned, &s.FlowScanned)
 	flush(&m.StateCommits, &s.StateCommits)
 	flush(&m.FlightRecords, &s.FlightRecords)

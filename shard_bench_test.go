@@ -42,8 +42,7 @@ func BenchmarkShardedSnapshot(b *testing.B) {
 				b.Fatal(err)
 			}
 			bound := triggers * 4 * g.NumEdges()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			burst := func() {
 				c.ResetRuntimeStats()
 				net.ResetAccounting()
 				base := net.Sim.Now()
@@ -56,6 +55,14 @@ func BenchmarkShardedSnapshot(b *testing.B) {
 				if msgs := net.InBandCount(core.EthSnapSplit); msgs == 0 || msgs > bound {
 					b.Fatalf("burst of %d sweeps used %d in-band msgs, bound %d", triggers, msgs, bound)
 				}
+			}
+			// A table compiles its matcher on its first lookup after a
+			// change. One untimed burst pays that for every table, so
+			// the timed bursts measure sweeps, not matcher compilation.
+			burst()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				burst()
 			}
 			b.ReportMetric(float64(g.NumNodes()), "switches")
 			b.ReportMetric(float64(triggers), "sweeps/op")

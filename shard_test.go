@@ -210,3 +210,45 @@ func TestSharded10kDeterministicDigest(t *testing.T) {
 		t.Fatalf("single-loop digest %#x, sharded %#x — Table-2 counters must agree", dig, first)
 	}
 }
+
+// TestMetricsSnapshotShardInvariance pins per-service timing to the
+// simulation, not to the lane a hop happened to run on: snapshot then
+// anycast on FatTree(4) must report the same FirstAt/LastAt/WallClock and
+// in-band counts at every shard count.
+func TestMetricsSnapshotShardInvariance(t *testing.T) {
+	g := mustGraph(FatTree(4))
+	render := func(shards int) string {
+		d := Deploy(g, WithSeed(7), WithShards(shards))
+		snap, err := d.InstallSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap.Trigger(0, 0)
+		if err := d.Run(); err != nil {
+			t.Fatal(err)
+		}
+		any, err := d.InstallAnycast(map[uint32][]int{1: {g.NumNodes() - 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		any.Send(0, 1, nil, d.Net.Sim.Now())
+		if err := d.Run(); err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for _, m := range d.MetricsSnapshot() {
+			if m.WallClock == 0 || m.InBandMsgs == 0 {
+				t.Errorf("shards=%d %s: idle (wall=%d inband=%d)", shards, m.Service, m.WallClock, m.InBandMsgs)
+			}
+			fmt.Fprintf(&b, "%s first=%d last=%d wall=%d inband=%d\n",
+				m.Service, m.FirstAt, m.LastAt, m.WallClock, m.InBandMsgs)
+		}
+		return b.String()
+	}
+	want := render(1)
+	for _, shards := range []int{2, 4} {
+		if got := render(shards); got != want {
+			t.Errorf("shards=%d diverged from single loop:\n got:\n%s\nwant:\n%s", shards, got, want)
+		}
+	}
+}

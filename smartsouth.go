@@ -337,10 +337,10 @@ func newDeployment(g *Graph, cfg network.Config) *Deployment {
 		slots: core.NewSlotAllocator(0),
 	}
 	// In-band attribution: every link transmission of a claimed EtherType
-	// is credited to its service, with the simulation timestamp feeding
-	// the traversal wall-clock.
-	net.ObserveHops(func(_ Hop, pkt *Packet, _ bool) {
-		d.reg.NoteHop(net.Sim.Now(), pkt.EthType, pkt.Size())
+	// is credited to its service, with the sending lane's transmit time
+	// feeding the traversal wall-clock.
+	net.ObserveHops(func(at Time, _ Hop, pkt *Packet, _ bool) {
+		d.reg.NoteHop(at, pkt.EthType, pkt.Size())
 	})
 	if cfg.TraceCap > 0 {
 		d.Trace = trace.NewRecorder(cfg.TraceCap)
@@ -715,8 +715,9 @@ func (d *Deployment) InstallMonitor(root int, watchdog bool) (*Monitor, error) {
 // rules steering into them) from all switches — flow-mod/group-mod
 // DELETEs in OpenFlow terms. The slots to clear are derived from the
 // retained Programs: uninstalling any slot of a multi-slot service
-// (chaincast, monitor) removes the whole service. Other services keep
-// running; cleared slots are NOT reused by future installs.
+// (chaincast, monitor) removes the whole service, and its entry leaves
+// MetricsSnapshot, releasing its EtherTypes to later installs. Other
+// services keep running; cleared slots are NOT reused by future installs.
 func (d *Deployment) Uninstall(slot int) {
 	covered := map[int]bool{slot: true}
 	for _, p := range d.CP.Programs() {
@@ -738,11 +739,9 @@ func (d *Deployment) Uninstall(slot int) {
 				return e.Goto >= tLo && e.Goto < tHi
 			})
 			sw.RemoveGroupRange(gLo, gHi)
-			// Removal outdates the compiled matchers (the mutators only bump
-			// versions); recompile so remaining services stay on the fast path.
-			sw.CompileDispatch()
 		}
 		d.CP.DropPrograms(s)
+		d.reg.Release(s)
 	}
 }
 

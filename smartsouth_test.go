@@ -157,6 +157,34 @@ func TestUninstallRemovesOneServiceLeavesOthers(t *testing.T) {
 	}
 }
 
+// TestUninstallReleasesMetrics reinstalls a service after uninstalling it:
+// the dead entry must leave MetricsSnapshot and the new one must be
+// credited with its own traffic, one Ring(8) snapshot's worth.
+func TestUninstallReleasesMetrics(t *testing.T) {
+	d := Deploy(Ring(8))
+	cycle := func() {
+		t.Helper()
+		snap, err := d.InstallSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap.Trigger(0, d.Net.Sim.Now()+1)
+		if err := d.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle() // slot 0
+	d.Uninstall(0)
+	cycle() // slot 1
+	ms := d.MetricsSnapshot()
+	if len(ms) != 1 || ms[0].Slot != 1 {
+		t.Fatalf("metrics after reinstall: %+v", ms)
+	}
+	if m := ms[0]; m.InBandMsgs != 18 || m.PacketIns != 1 {
+		t.Fatalf("slot 1: inband=%d pktins=%d, want inband=18 pktins=1", m.InBandMsgs, m.PacketIns)
+	}
+}
+
 func TestGeneratorsReexported(t *testing.T) {
 	if Line(3).NumEdges() != 2 || Ring(4).NumEdges() != 4 || Star(4).NumEdges() != 3 {
 		t.Error("generator aliases broken")

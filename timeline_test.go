@@ -29,7 +29,7 @@ func TestTimelineCrossShardReconstruction(t *testing.T) {
 		t.Fatalf("Shards() = %d, want 4", got)
 	}
 	delivered := 0
-	d.Net.ObserveHops(func(_ Hop, _ *Packet, ok bool) {
+	d.Net.ObserveHops(func(_ Time, _ Hop, _ *Packet, ok bool) {
 		if ok {
 			delivered++
 		}
