@@ -158,3 +158,37 @@ func TestParseBenchRejectsNothing(t *testing.T) {
 		t.Fatalf("non-benchmark output: %v %v", rs, err)
 	}
 }
+
+// TestCIBaselineKeepsShardRatio guards the baseline CI reads: rolling it
+// forward must carry the shard-scaling ratio spec along, or the gate
+// silently stops checking it.
+func TestCIBaselineKeepsShardRatio(t *testing.T) {
+	data, err := os.ReadFile("../../BENCH_pr10.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b Baseline
+	if err := json.Unmarshal(data, &b); err != nil {
+		t.Fatal(err)
+	}
+	want := RatioSpec{
+		Name:        "sharded-snapshot-4shard-speedup",
+		Numerator:   "BenchmarkShardedSnapshot/shards=1",
+		Denominator: "BenchmarkShardedSnapshot/shards=4",
+		Min:         0.5,
+	}
+	found := false
+	for _, r := range b.Ratios {
+		found = found || r == want
+	}
+	if !found {
+		t.Fatalf("BENCH_pr10.json ratios %+v lack %+v", b.Ratios, want)
+	}
+	rows := map[string]bool{}
+	for _, r := range b.Benchmarks {
+		rows[r.Name] = true
+	}
+	if !rows[want.Numerator] || !rows[want.Denominator] {
+		t.Fatalf("BENCH_pr10.json has no baseline rows for %s / %s", want.Numerator, want.Denominator)
+	}
+}

@@ -29,6 +29,15 @@ func (m *Metered) InstallProgram(p *openflow.Program) {
 	m.ControlPlane.InstallProgram(p)
 }
 
+// GateProgram consults the wrapped plane's install gate, if it has one,
+// so decorating a plane does not hide its veto from the installers.
+func (m *Metered) GateProgram(p *openflow.Program) error {
+	if g, ok := m.ControlPlane.(core.ProgramGater); ok {
+		return g.GateProgram(p)
+	}
+	return nil
+}
+
 // PacketOut attributes a controller trigger by EtherType.
 func (m *Metered) PacketOut(sw, inPort int, pkt *openflow.Packet, at network.Time) {
 	m.Reg.NotePacketOut(at, pkt.EthType, pkt.Size())

@@ -5,11 +5,13 @@
 // packet-ins came back, and the traversal wall-clock in simulation time.
 //
 // The registry is fed from three directions: a Metered control-plane
-// decorator attributes installs and trigger packets, a hop observer
-// attributes in-band link crossings by EtherType, and packet-in hooks
-// attribute collect messages. Services are identified by the slot range
-// they occupy and by the EtherTypes of their tagged packets — the same
-// two keys the data plane itself uses.
+// decorator attributes installs and trigger packets, packet-in hooks
+// attribute collect messages, and the network's per-lane EtherType
+// counters attribute in-band link crossings. The registry drains those
+// counters (network.DrainInBand) before every read and every change of
+// EtherType ownership, so nothing runs per hop on its behalf. Services
+// are identified by the slot range they occupy and by the EtherTypes of
+// their tagged packets — the same two keys the data plane itself uses.
 package metrics
 
 import (
@@ -83,16 +85,37 @@ func (m *ServiceMetrics) touch(at network.Time) {
 
 // Registry holds the per-service metrics of one deployment. Safe for
 // concurrent use: remote deployments feed it from the simulator and the
-// packet-in reader goroutines.
+// packet-in reader goroutines. The methods that drain the network's
+// in-band counters (Register, Release, ByEth, Snapshot, Reset) must run
+// between simulator runs, like every other read of the network.
 type Registry struct {
 	mu       sync.Mutex
 	services []*ServiceMetrics
 	byEth    map[uint16]*ServiceMetrics
+
+	// net is the source of in-band attribution.
+	net *network.Network
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{byEth: make(map[uint16]*ServiceMetrics)}
+// NewRegistry returns an empty registry attributing net's in-band
+// traffic.
+func NewRegistry(net *network.Network) *Registry {
+	return &Registry{byEth: make(map[uint16]*ServiceMetrics), net: net}
+}
+
+// foldLocked credits the in-band traffic counted since the previous fold
+// to the services owning its EtherTypes; unclaimed traffic is dropped.
+// Folding before every ownership change credits each transmission to the
+// service that owned its EtherType when it was sent.
+func (r *Registry) foldLocked() {
+	r.net.DrainInBand(func(eth uint16, msgs, bytes int, first, last network.Time) {
+		if m := r.byEth[eth]; m != nil {
+			m.InBandMsgs += msgs
+			m.InBandBytes += bytes
+			m.touch(first)
+			m.touch(last)
+		}
+	})
 }
 
 // Register creates the metrics entry for a service occupying slots
@@ -105,6 +128,7 @@ func (r *Registry) Register(service string, slot, slots int, eths ...uint16) *Se
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.foldLocked()
 	m := &ServiceMetrics{Service: service, Slot: slot, Slots: slots}
 	for _, eth := range eths {
 		if _, taken := r.byEth[eth]; !taken {
@@ -123,6 +147,7 @@ func (r *Registry) Register(service string, slot, slots int, eths ...uint16) *Se
 func (r *Registry) Release(slot int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.foldLocked()
 	m := r.bySlotLocked(slot)
 	if m == nil {
 		return
@@ -196,22 +221,11 @@ func (r *Registry) NotePacketIn(at network.Time, eth uint16, bytes int) {
 	}
 }
 
-// NoteHop attributes one in-band link transmission by EtherType. Every
-// attempt counts, delivered or not, matching network.InBandMsgs.
-func (r *Registry) NoteHop(at network.Time, eth uint16, bytes int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m := r.byEth[eth]; m != nil {
-		m.InBandMsgs++
-		m.InBandBytes += bytes
-		m.touch(at)
-	}
-}
-
 // ByEth returns the service entry claiming the EtherType, or nil.
 func (r *Registry) ByEth(eth uint16) *ServiceMetrics {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.foldLocked()
 	return r.byEth[eth]
 }
 
@@ -220,6 +234,7 @@ func (r *Registry) ByEth(eth uint16) *ServiceMetrics {
 func (r *Registry) Snapshot() []ServiceMetrics {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.foldLocked()
 	out := make([]ServiceMetrics, len(r.services))
 	for i, m := range r.services {
 		c := *m
@@ -267,6 +282,7 @@ func (r *Registry) JSON() ([]byte, error) {
 func (r *Registry) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.foldLocked()
 	for _, m := range r.services {
 		m.PacketOuts, m.HostInjects, m.PacketIns = 0, 0, 0
 		m.OutBandMsgs, m.OutBandBytes = 0, 0

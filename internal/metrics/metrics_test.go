@@ -11,8 +11,22 @@ import (
 	"smartsouth/internal/topo"
 )
 
+// transmit sends one packet of EtherType eth across the first link of
+// switch 0 at simulation time at, and returns its size in bytes. The
+// networks here use 1ns links, so the run ends before the next at.
+func transmit(t *testing.T, nw *network.Network, at network.Time, eth uint16) int {
+	t.Helper()
+	pkt := openflow.NewPacket(eth, 25)
+	nw.InjectActions(0, []openflow.Action{openflow.Output{Port: 1}}, pkt, at)
+	if _, err := nw.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return pkt.Size()
+}
+
 func TestRegistryAttribution(t *testing.T) {
-	r := NewRegistry()
+	nw := network.New(topo.Line(2), network.Options{LinkDelay: 1})
+	r := NewRegistry(nw)
 	a := r.Register("snapshot", 0, 1, 0x8802)
 	b := r.Register("blackhole", 1, 1, 0x8805, 0x8808)
 
@@ -22,12 +36,12 @@ func TestRegistryAttribution(t *testing.T) {
 		t.Fatal("first EtherType registrant must win")
 	}
 
+	size := transmit(t, nw, 150, 0x8802)
+	transmit(t, nw, 300, 0x8808)
+	transmit(t, nw, 999, 0xFFFF) // unclaimed: dropped silently
 	r.NotePacketOut(100, 0x8802, 50)
 	r.NoteHostInject(200, 0x8805, 60)
 	r.NotePacketIn(900, 0x8802, 70)
-	r.NoteHop(150, 0x8802, 40)
-	r.NoteHop(300, 0x8808, 40)
-	r.NoteHop(999, 0xFFFF, 40) // unclaimed: dropped silently
 
 	snap := r.Snapshot()
 	if len(snap) != 3 {
@@ -43,7 +57,7 @@ func TestRegistryAttribution(t *testing.T) {
 	if sa.OutBandMsgs != 2 || sa.OutBandBytes != 120 {
 		t.Fatalf("out-band: %d msgs %d bytes", sa.OutBandMsgs, sa.OutBandBytes)
 	}
-	if sa.InBandMsgs != 1 || sa.InBandBytes != 40 {
+	if sa.InBandMsgs != 1 || sa.InBandBytes != size {
 		t.Fatalf("in-band: %+v", sa)
 	}
 	if sa.FirstAt != 100 || sa.LastAt != 900 || sa.WallClock != 800 {
@@ -52,11 +66,15 @@ func TestRegistryAttribution(t *testing.T) {
 	if sb.HostInjects != 1 || sb.TriggerPackets != 1 || sb.InBandMsgs != 1 {
 		t.Fatalf("blackhole counters: %+v", sb)
 	}
+	if sb.FirstAt != 200 || sb.LastAt != 300 {
+		t.Fatalf("blackhole wallclock: first=%d last=%d", sb.FirstAt, sb.LastAt)
+	}
 	_ = b
 }
 
 func TestRegistryRelease(t *testing.T) {
-	r := NewRegistry()
+	nw := network.New(topo.Line(2), network.Options{LinkDelay: 1})
+	r := NewRegistry(nw)
 	r.Register("chaincast", 0, 2, 0x8809)
 	keep := r.Register("anycast", 2, 1, 0x8803)
 	r.Release(1) // any covered slot releases the whole service
@@ -66,9 +84,10 @@ func TestRegistryRelease(t *testing.T) {
 	if snap := r.Snapshot(); len(snap) != 1 || snap[0].Service != "anycast" {
 		t.Fatalf("snapshot after release: %+v", snap)
 	}
+	transmit(t, nw, 5, 0x8809) // unclaimed while released: dropped
 	again := r.Register("chaincast", 3, 2, 0x8809)
-	r.NoteHop(10, 0x8809, 40)
-	if r.ByEth(0x8809) != again || again.InBandMsgs != 1 || keep.InBandMsgs != 0 {
+	transmit(t, nw, 10, 0x8809)
+	if r.ByEth(0x8809) != again || again.InBandMsgs != 1 || again.FirstAt != 10 || keep.InBandMsgs != 0 {
 		t.Fatalf("re-registered service not credited: %+v", again)
 	}
 	r.Release(7) // no occupant: no-op
@@ -78,7 +97,7 @@ func TestRegistryRelease(t *testing.T) {
 }
 
 func TestRegistryInstallAttributionBySlot(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry(network.New(topo.Line(2), network.Options{}))
 	r.Register("chaincast", 0, 2, 0x8809) // spans slots 0 and 1
 	r.Register("critical", 2, 1, 0x8806)
 
@@ -98,7 +117,7 @@ func TestRegistryInstallAttributionBySlot(t *testing.T) {
 }
 
 func TestRegistryJSONRoundTrip(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry(network.New(topo.Line(2), network.Options{}))
 	r.Register("snapshot", 0, 1, 0x8802)
 	r.NotePacketOut(1, 0x8802, 10)
 	js, err := r.JSON()
@@ -115,10 +134,11 @@ func TestRegistryJSONRoundTrip(t *testing.T) {
 }
 
 func TestRegistryReset(t *testing.T) {
-	r := NewRegistry()
+	nw := network.New(topo.Line(2), network.Options{LinkDelay: 1})
+	r := NewRegistry(nw)
 	r.Register("snapshot", 0, 1, 0x8802)
 	r.NotePacketOut(1, 0x8802, 10)
-	r.NoteHop(2, 0x8802, 10)
+	transmit(t, nw, 2, 0x8802)
 	p := openflow.NewProgram("snapshot", 0)
 	p.Ensure(0, 2)
 	p.AddFlow(0, 1, &openflow.FlowEntry{Cookie: "k"})
@@ -140,7 +160,7 @@ func TestMeteredControlPlane(t *testing.T) {
 	g := topo.Ring(6)
 	nw := network.New(g, network.Options{})
 	ctl := controller.New(nw)
-	reg := NewRegistry()
+	reg := NewRegistry(nw)
 	cp := Meter(ctl, reg)
 
 	reg.Register("snapshot", 0, 1, core.EthSnapshot)

@@ -53,10 +53,17 @@ type Options struct {
 
 // ethCounter is one interned per-EtherType accounting slot. The hot path
 // bumps these by index; the public map views are rebuilt on demand.
+// msgs/bytes are the running totals ResetAccounting clears; the pending
+// half counts the same transmissions since the last DrainInBand, with
+// first/last bracketing them in the sending lane's clock.
 type ethCounter struct {
 	eth   uint16
 	msgs  int
 	bytes int
+
+	pendMsgs    int
+	pendBytes   int
+	first, last Time
 }
 
 // Network instantiates one openflow.Switch per graph node, one Link per
@@ -67,20 +74,17 @@ type ethCounter struct {
 //     (the out-of-band control channel; package controller counts these).
 //   - OnSelf receives every packet delivered to PortSelf (the switch-local
 //     host, e.g. an anycast receiver).
-//   - OnHop, if set, observes every attempted link crossing, delivered or
-//     not — the ground-truth trace tests compare against the golden model.
 //
 // Packet ownership: packets passed to OnPacketIn and OnSelf belong to the
-// callback and may be retained. Packets seen by hop observers are only
-// valid for the duration of the callback — the simulator recycles them
-// once processed.
+// callback and may be retained. Packets seen by hop and exec observers
+// are only valid for the duration of the callback — the simulator
+// recycles them once processed.
 type Network struct {
 	Sim   *Sim
 	Graph *topo.Graph
 
 	OnPacketIn func(sw int, pkt *openflow.Packet)
 	OnSelf     func(sw int, pkt *openflow.Packet)
-	OnHop      func(hop Hop, pkt *openflow.Packet, delivered bool)
 	// OnPortChange observes port liveness flips — the information a real
 	// switch reports with OFPT_PORT_STATUS.
 	OnPortChange func(sw, port int, up bool)
@@ -102,7 +106,8 @@ type Network struct {
 	// shardOf maps each switch to its owning worker lane; lookahead is
 	// the minimum cross-shard link delay — the conservative window width.
 	// obsMu serializes the observer fan-out (hop/exec callbacks) across
-	// worker lanes; single-loop runs never take it.
+	// worker lanes; single-loop runs and networks without observers never
+	// take it.
 	lanes     []*lane
 	ctl       *lane
 	multi     bool
@@ -229,11 +234,13 @@ func (n *Network) Shards() int {
 	return len(n.lanes) - 1
 }
 
-// ExecObserver observes one pipeline execution: the switch that ran it,
-// the ingress port, the packet as it arrived (pre-execution state), and
-// the execution result, whose Steps/GroupSteps record the matched rules
-// and group-bucket choices when structured recording is on.
-type ExecObserver func(sw, inPort int, pkt *openflow.Packet, res *openflow.Result)
+// ExecObserver observes one pipeline execution: the execution time on
+// the lane that ran it (on a sharded network this runs ahead of
+// Sim.Now(), the control lane's clock), the switch, the ingress port, the
+// packet as it arrived (pre-execution state), and the execution result,
+// whose Steps/GroupSteps record the matched rules and group-bucket
+// choices.
+type ExecObserver func(at Time, sw, inPort int, pkt *openflow.Packet, res *openflow.Result)
 
 // HopObserver observes one attempted link crossing, delivered or not. at
 // is the transmit time on the sending switch's lane, which on a sharded
@@ -241,9 +248,9 @@ type ExecObserver func(sw, inPort int, pkt *openflow.Packet, res *openflow.Resul
 type HopObserver func(at Time, hop Hop, pkt *openflow.Packet, delivered bool)
 
 // ObserveExec registers an execution observer and turns on structured
-// step recording on every switch. Unlike the OnHop/OnPacketIn fields,
-// observers are additive: several subsystems (trace, metrics, tests) can
-// watch the same network without clobbering each other.
+// step recording on every switch. Observers are additive: several
+// subsystems (trace, tests) can watch the same network without clobbering
+// each other. On a sharded network the calls are serialized across lanes.
 func (n *Network) ObserveExec(fn ExecObserver) {
 	n.execObs = append(n.execObs, fn)
 	for _, sw := range n.switches {
@@ -251,8 +258,10 @@ func (n *Network) ObserveExec(fn ExecObserver) {
 	}
 }
 
-// ObserveHops registers an additional hop observer. The legacy OnHop field
-// keeps working; observers fire after it.
+// ObserveHops registers a hop observer, called for every attempted link
+// crossing. A network without one makes no observer call and takes no
+// lock on the send path; per-EtherType counts need none (see InBandMsgs
+// and DrainInBand).
 func (n *Network) ObserveHops(fn HopObserver) {
 	n.hopObs = append(n.hopObs, fn)
 }
@@ -406,7 +415,7 @@ func (n *Network) InjectActions(sw int, actions []openflow.Action, pkt *openflow
 			st.PoolGets += gets
 		}
 		for _, ob := range n.execObs {
-			ob(sw, openflow.PortController, p, &res)
+			ob(n.Sim.now, sw, openflow.PortController, p, &res)
 		}
 		n.ctl.dispatch(sw, &res)
 		p.Release()
@@ -500,6 +509,23 @@ func (n *Network) InBandBytes() map[uint16]int {
 	return out
 }
 
+// DrainInBand calls fn with each lane's per-EtherType transmissions
+// since the previous drain (every attempt counts, delivered or not),
+// bracketed by their first and last transmit time, and starts a new
+// interval. The per-service metrics registry is its one consumer.
+//
+//simlint:barrier post-run aggregation across parked lanes
+func (n *Network) DrainInBand(fn func(eth uint16, msgs, bytes int, first, last Time)) {
+	for _, l := range n.lanes {
+		for i := range l.counters {
+			if c := &l.counters[i]; c.pendMsgs > 0 {
+				fn(c.eth, c.pendMsgs, c.pendBytes, c.first, c.last)
+				c.pendMsgs, c.pendBytes = 0, 0
+			}
+		}
+	}
+}
+
 // InBandCount returns the transmission count of one EtherType.
 //
 //simlint:barrier post-run aggregation across parked lanes
@@ -541,7 +567,8 @@ func (n *Network) TotalInBand() int {
 
 // ResetAccounting clears the in-band counters (link DirStats included) so
 // an experiment can measure a single phase. The EtherType intern tables
-// survive — only the counts reset.
+// survive — only the counts reset — and so does the interval DrainInBand
+// has not collected yet.
 //
 //simlint:barrier called between runs; no worker window is active
 func (n *Network) ResetAccounting() {

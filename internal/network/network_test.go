@@ -101,12 +101,12 @@ func TestBlackholeInvisibleToLiveness(t *testing.T) {
 	}
 	hops := 0
 	var lost bool
-	n.OnHop = func(h Hop, _ *openflow.Packet, delivered bool) {
+	n.ObserveHops(func(_ Time, h Hop, _ *openflow.Packet, delivered bool) {
 		hops++
 		if !delivered {
 			lost = h.From == 1 && h.To == 2
 		}
-	}
+	})
 	n.Inject(1, 1, openflow.NewPacket(testEth, 2), 0)
 	n.Run()
 	if hops != 1 || !lost {
@@ -196,7 +196,7 @@ func TestDeterminism(t *testing.T) {
 				Actions: []openflow.Action{openflow.Output{Port: 1}}, Cookie: "p1"})
 		}
 		var hops []int
-		n.OnHop = func(h Hop, _ *openflow.Packet, _ bool) { hops = append(hops, h.From*100+h.To) }
+		n.ObserveHops(func(_ Time, h Hop, _ *openflow.Packet, _ bool) { hops = append(hops, h.From*100+h.To) })
 		n.Sim.MaxSteps = 200
 		n.Inject(0, openflow.PortController, openflow.NewPacket(testEth, 1), 0)
 		n.Run()

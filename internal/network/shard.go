@@ -40,11 +40,12 @@ type lane struct {
 	batchPre []*openflow.Packet        //simlint:lanelocal
 
 	// Interned in-band accounting (the "in-band #msgs / size" columns of
-	// Table 2). Every transmission attempt counts (a message swallowed by
-	// a blackhole was still sent). lastIdx caches the slot of the most
+	// Table 2, and the per-service attribution drained by DrainInBand).
+	// Every transmission attempt counts (a message swallowed by a
+	// blackhole was still sent). lastIdx caches the slot of the most
 	// recently counted EtherType: traversals send long runs of one type,
 	// so the common case is a single comparison instead of a map probe.
-	// The public map views aggregate across lanes.
+	// The public views aggregate across lanes.
 	counters []ethCounter   //simlint:lanelocal
 	ethIdx   map[uint16]int //simlint:lanelocal
 	lastIdx  int            //simlint:lanelocal
@@ -261,7 +262,7 @@ func (l *lane) processBatch(evs []event) {
 				n.obsMu.Lock()
 			}
 			for _, ob := range n.execObs {
-				ob(swID, evs[i].port, l.batchPre[i], r)
+				ob(l.sim.now, swID, evs[i].port, l.batchPre[i], r)
 			}
 			if l.worker {
 				n.obsMu.Unlock()
@@ -326,7 +327,8 @@ func (l *lane) dispatch(sw int, res *openflow.Result) {
 	}
 }
 
-// countInBand bumps the interned per-EtherType transmission counters.
+// countInBand bumps the interned per-EtherType transmission counters,
+// stamping the pending interval with the lane's clock.
 func (l *lane) countInBand(eth uint16, size int) {
 	idx := l.lastIdx
 	if idx >= len(l.counters) || l.counters[idx].eth != eth {
@@ -342,6 +344,12 @@ func (l *lane) countInBand(eth uint16, size int) {
 	c := &l.counters[idx]
 	c.msgs++
 	c.bytes += size
+	if c.pendMsgs == 0 {
+		c.first = l.sim.now
+	}
+	c.pendMsgs++
+	c.pendBytes += size
+	c.last = l.sim.now
 }
 
 // send puts a packet on the link attached to (sw, port), taking ownership
@@ -379,13 +387,10 @@ func (l *lane) send(sw, port int, pkt *openflow.Packet) {
 			}
 		}
 	}
-	if n.OnHop != nil || len(n.hopObs) > 0 {
+	if len(n.hopObs) > 0 {
 		h := Hop{From: sw, FromPort: port, To: to, ToPort: toPort}
 		if l.worker {
 			n.obsMu.Lock()
-		}
-		if n.OnHop != nil {
-			n.OnHop(h, pkt, delivered)
 		}
 		for _, ob := range n.hopObs {
 			ob(l.sim.now, h, pkt, delivered)

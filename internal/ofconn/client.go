@@ -255,11 +255,15 @@ func (cl *Client) GroupStats(groupID uint32) (ofwire.GroupStats, error) {
 // blocks for the reply.
 func (cl *Client) FlowStats(table int) ([]ofwire.FlowStat, error) {
 	xid := cl.conn.NextXID()
+	req, err := ofwire.MarshalFlowStatsRequest(xid, table)
+	if err != nil {
+		return nil, err
+	}
 	ch := make(chan []ofwire.FlowStat, 1)
 	cl.mu.Lock()
 	cl.flowPending[xid] = ch
 	cl.mu.Unlock()
-	if err := cl.conn.Send(ofwire.MarshalFlowStatsRequest(xid, table)); err != nil {
+	if err := cl.conn.Send(req); err != nil {
 		return nil, err
 	}
 	select {

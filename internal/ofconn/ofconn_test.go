@@ -305,7 +305,7 @@ func TestSmartSouthOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	var refHops []network.Hop
-	refNet.OnHop = func(h network.Hop, _ *openflow.Packet, _ bool) { refHops = append(refHops, h) }
+	refNet.ObserveHops(func(_ network.Time, h network.Hop, _ *openflow.Packet, _ bool) { refHops = append(refHops, h) })
 	refTr.Trigger(0, 0)
 	if _, err := refNet.Run(); err != nil {
 		t.Fatal(err)
@@ -385,7 +385,7 @@ func TestSmartSouthOverTCP(t *testing.T) {
 
 	// Drain the packet-out queue into the simulator and run.
 	var tcpHops []network.Hop
-	tcpNet.OnHop = func(h network.Hop, _ *openflow.Packet, _ bool) { tcpHops = append(tcpHops, h) }
+	tcpNet.ObserveHops(func(_ network.Time, h network.Hop, _ *openflow.Packet, _ bool) { tcpHops = append(tcpHops, h) })
 	reports := 0
 	tcpNet.OnPacketIn = func(sw int, pkt *openflow.Packet) {
 		reports++

@@ -14,6 +14,34 @@ const (
 	instrApplyActions = 4
 )
 
+// MaxTable is the largest table ID the wire can carry: table_id is one
+// byte, and 0xff (OFPTT_ALL) means "all tables".
+const MaxTable = 254
+
+// CheckTable reports whether a table ID fits the wire. Every encoder that
+// takes a table ID checks it, so an out-of-range ID is an error instead
+// of a silent wrap onto another table.
+func CheckTable(id int) error {
+	if id < 0 || id > MaxTable {
+		return fmt.Errorf("ofwire: table ID %d outside 0..%d", id, MaxTable)
+	}
+	return nil
+}
+
+// CheckFlowTables reports whether a flow-mod installing e into table fits
+// the wire: both the table and the goto target must pass CheckTable.
+func CheckFlowTables(table int, e *openflow.FlowEntry) error {
+	if err := CheckTable(table); err != nil {
+		return err
+	}
+	if e.Goto != openflow.NoGoto {
+		if err := CheckTable(e.Goto); err != nil {
+			return fmt.Errorf("goto: %w", err)
+		}
+	}
+	return nil
+}
+
 // FlowMod couples a decoded flow-mod's table with its entry.
 type FlowMod struct {
 	Table int
@@ -38,8 +66,11 @@ func CookieHash(cookie string) uint64 {
 // MarshalFlowMod encodes an OFPT_FLOW_MOD (command ADD) installing e into
 // the given table. The human-readable cookie string travels as its FNV-64
 // hash (the wire cookie is numeric); decoded entries carry a synthetic
-// cookie.
+// cookie. Table IDs the wire cannot carry are an error (CheckFlowTables).
 func MarshalFlowMod(xid uint32, table int, e *openflow.FlowEntry) ([]byte, error) {
+	if err := CheckFlowTables(table, e); err != nil {
+		return nil, err
+	}
 	body := make([]byte, 40)
 	binary.BigEndian.PutUint64(body[0:], CookieHash(e.Cookie)) // cookie
 	// cookie_mask zero.

@@ -34,12 +34,15 @@ type FlowStat struct {
 }
 
 // MarshalFlowStatsRequest encodes an OFPMP_FLOW request for every entry
-// of one table.
-func MarshalFlowStatsRequest(xid uint32, table int) []byte {
+// of one table; a table ID outside 0..MaxTable is an error.
+func MarshalFlowStatsRequest(xid uint32, table int) ([]byte, error) {
+	if err := CheckTable(table); err != nil {
+		return nil, err
+	}
 	body := make([]byte, 8+8)
 	binary.BigEndian.PutUint16(body[0:], mpFlow)
 	body[8] = uint8(table)
-	return message(TypeMultipartRequest, xid, body)
+	return message(TypeMultipartRequest, xid, body), nil
 }
 
 // ParseFlowStatsRequest decodes the request body, returning the table id.

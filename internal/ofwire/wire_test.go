@@ -279,7 +279,10 @@ func TestFlowAndGroupStatsRoundTrip(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(got, stats) {
 		t.Fatalf("flow stats round-trip: %v (%v)", got, err)
 	}
-	req := MarshalFlowStatsRequest(9, 7)
+	req, err := MarshalFlowStatsRequest(9, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if table, err := ParseFlowStatsRequest(req[HeaderLen:]); err != nil || table != 7 {
 		t.Fatalf("flow stats request: %d %v", table, err)
 	}
@@ -408,5 +411,31 @@ func TestRealServiceRulesSurviveTheWire(t *testing.T) {
 	if got.ID != 9 || got.Type != openflow.GroupFF || len(got.Buckets) != 2 ||
 		got.Buckets[0].WatchPort != 1 || got.Buckets[1].WatchPort != openflow.WatchNone {
 		t.Fatalf("group round-trip: %+v", got)
+	}
+}
+
+// TestTableIDBound: table_id is one byte and 0xff means "all tables", so
+// every encoder taking a table ID rejects anything outside 0..254 instead
+// of wrapping it onto another table.
+func TestTableIDBound(t *testing.T) {
+	e := &openflow.FlowEntry{Priority: 1, Match: openflow.MatchAll(), Goto: openflow.NoGoto}
+	for _, table := range []int{0, MaxTable} {
+		if _, err := MarshalFlowMod(1, table, e); err != nil {
+			t.Errorf("flow-mod into table %d: %v", table, err)
+		}
+		if _, err := MarshalFlowStatsRequest(1, table); err != nil {
+			t.Errorf("flow-stats request for table %d: %v", table, err)
+		}
+	}
+	for _, table := range []int{-1, 255, 261} {
+		if _, err := MarshalFlowMod(1, table, e); err == nil {
+			t.Errorf("flow-mod into table %d encoded", table)
+		}
+		if _, err := MarshalFlowMod(1, 0, &openflow.FlowEntry{Goto: table}); table != openflow.NoGoto && err == nil {
+			t.Errorf("flow-mod with goto %d encoded", table)
+		}
+		if _, err := MarshalFlowStatsRequest(1, table); err == nil {
+			t.Errorf("flow-stats request for table %d encoded", table)
+		}
 	}
 }

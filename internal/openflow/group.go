@@ -113,9 +113,6 @@ func (g *GroupEntry) apply(x *ExecContext, p *Packet) {
 	case GroupAll:
 		for i := range g.Buckets {
 			c := p.ClonePooled()
-			if x.tracing {
-				x.trace("group %d bucket %d (all)", g.ID, i)
-			}
 			x.step(g, i)
 			g.Buckets[i].Packets++
 			for _, a := range g.Buckets[i].Actions {
@@ -132,9 +129,6 @@ func (g *GroupEntry) apply(x *ExecContext, p *Packet) {
 		}
 	case GroupIndirect:
 		if len(g.Buckets) > 0 {
-			if x.tracing {
-				x.trace("group %d bucket 0 (indirect)", g.ID)
-			}
 			x.step(g, 0)
 			g.Buckets[0].Packets++
 			for _, a := range g.Buckets[0].Actions {
@@ -153,16 +147,10 @@ func (g *GroupEntry) apply(x *ExecContext, p *Packet) {
 			}
 		}
 		if i < 0 {
-			if x.tracing {
-				x.trace("group %d: no live bucket, drop", g.ID)
-			}
 			x.step(g, -1)
 			return
 		}
 		b := &g.Buckets[i]
-		if x.tracing {
-			x.trace("group %d bucket %d (ff, watch %d)", g.ID, i, b.WatchPort)
-		}
 		x.step(g, i)
 		b.Packets++
 		for _, a := range b.Actions {
@@ -174,9 +162,6 @@ func (g *GroupEntry) apply(x *ExecContext, p *Packet) {
 		}
 		i := g.rr
 		g.rr = (g.rr + 1) % len(g.Buckets)
-		if x.tracing {
-			x.trace("group %d bucket %d (select-rr)", g.ID, i)
-		}
 		x.step(g, i)
 		g.Buckets[i].Packets++
 		for _, a := range g.Buckets[i].Actions {

@@ -59,7 +59,7 @@ func (e *StateEntry) EntryBytes() int {
 	return n
 }
 
-// StateCond renders the state half of the match for traces and dumps.
+// StateCond renders the state half of the match for dumps.
 func (e *StateEntry) StateCond() string {
 	switch {
 	case e.AnyState:

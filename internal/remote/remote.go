@@ -193,6 +193,20 @@ func (f *Fabric) Err() error {
 	return f.firstErr
 }
 
+// GateProgram rejects a program whose table IDs the wire cannot carry
+// (see ofwire.CheckFlowTables) before any of its rules reach a switch;
+// the core installers consult it through the ProgramGater extension.
+func (f *Fabric) GateProgram(p *openflow.Program) error {
+	for _, id := range p.SwitchIDs() {
+		for _, fr := range p.At(id).Flows {
+			if err := ofwire.CheckFlowTables(fr.Table, fr.Entry); err != nil {
+				return fmt.Errorf("remote: switch %d: %w", id, err)
+			}
+		}
+	}
+	return nil
+}
+
 // InstallProgram flushes a compiled program over the wire, batched: each
 // switch's rules and groups travel in as few TypeBatch messages as the
 // size cap allows, instead of one flow-mod/group-mod message per rule.

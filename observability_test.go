@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"smartsouth/internal/controller"
 	"smartsouth/internal/core"
 )
 
@@ -321,5 +322,126 @@ func TestTraceOffByDefault(t *testing.T) {
 	}
 	if d.Net.Switch(0).Record {
 		t.Fatal("structured recording enabled without observers")
+	}
+}
+
+// refTraffic is a test-side reference for one EtherType's metrics: link
+// transmissions seen by an ObserveHops observer, bracketed in time
+// together with the triggers and packet-ins of that EtherType.
+type refTraffic struct {
+	msgs, bytes int
+	first, last Time
+	active      bool
+}
+
+func (r *refTraffic) touch(at Time) {
+	if !r.active || at < r.first {
+		r.first = at
+	}
+	if !r.active || at > r.last {
+		r.last = at
+	}
+	r.active = true
+}
+
+// TestInBandAttributionMatchesHopObserver checks that the per-service
+// in-band counters, which the registry folds from the lanes' EtherType
+// counters, equal a reference hop observer's: snapshot, anycast and the
+// two-EtherType blackhole counter at shards 1/2/4, across an Uninstall
+// and a re-install between runs.
+func TestInBandAttributionMatchesHopObserver(t *testing.T) {
+	g := mustGraph(FatTree(4))
+	const guard = Time(1_000_000) // the counter check starts after the dance settles
+	for _, shards := range []int{1, 2, 4} {
+		d := Deploy(g, WithSeed(7), WithShards(shards), WithBackend("of13"))
+		ref := map[uint16]*refTraffic{}
+		at := func(eth uint16) *refTraffic {
+			if ref[eth] == nil {
+				ref[eth] = &refTraffic{}
+			}
+			return ref[eth]
+		}
+		d.Net.ObserveHops(func(when Time, _ Hop, pkt *Packet, _ bool) {
+			r := at(pkt.EthType)
+			r.msgs++
+			r.bytes += pkt.Size()
+			r.touch(when)
+		})
+		meter := d.Ctl.OnPacketIn
+		d.Ctl.OnPacketIn = func(pi controller.PacketIn) {
+			at(pi.Pkt.EthType).touch(pi.At)
+			meter(pi)
+		}
+		check := func(stage string) {
+			t.Helper()
+			ms := d.MetricsSnapshot()
+			if len(ms) != 3 {
+				t.Fatalf("shards=%d %s: %d services, want 3", shards, stage, len(ms))
+			}
+			for _, m := range ms {
+				var want refTraffic
+				for _, eth := range m.EtherTypes {
+					if r := ref[eth]; r != nil && r.active {
+						want.msgs += r.msgs
+						want.bytes += r.bytes
+						want.touch(r.first)
+						want.touch(r.last)
+					}
+				}
+				if m.InBandMsgs == 0 || m.InBandMsgs != want.msgs || m.InBandBytes != want.bytes ||
+					m.FirstAt != want.first || m.LastAt != want.last {
+					t.Errorf("shards=%d %s %s: msgs=%d bytes=%d first=%d last=%d, reference msgs=%d bytes=%d first=%d last=%d",
+						shards, stage, m.Service, m.InBandMsgs, m.InBandBytes, m.FirstAt, m.LastAt,
+						want.msgs, want.bytes, want.first, want.last)
+				}
+			}
+		}
+		run := func() {
+			t.Helper()
+			if err := d.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		snap, err := d.InstallSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		any, err := d.InstallAnycast(map[uint32][]int{1: {g.NumNodes() - 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bh, err := d.InstallBlackholeCounter()
+		if err != nil {
+			t.Fatal(err)
+		}
+		now := d.Net.Sim.Now()
+		snap.Trigger(0, now)
+		at(core.EthSnapshot).touch(now)
+		any.Send(0, 1, nil, now)
+		at(core.EthAnycast).touch(now)
+		bh.Detect(0, now, guard)
+		at(core.EthBlackhole).touch(now)
+		at(core.EthBlackholeChk).touch(now + guard)
+		run()
+		check("first run")
+
+		// A last sweep of the old snapshot, unread before its Uninstall:
+		// the re-installed snapshot starts from zero and must not inherit
+		// it.
+		snap.Trigger(0, d.Net.Sim.Now())
+		run()
+		d.Uninstall(snap.Prog.Slot)
+		delete(ref, core.EthSnapshot)
+		if snap, err = d.InstallSnapshot(); err != nil {
+			t.Fatal(err)
+		}
+		now = d.Net.Sim.Now()
+		snap.Trigger(3, now)
+		at(core.EthSnapshot).touch(now)
+		any.Send(5, 1, nil, now)
+		at(core.EthAnycast).touch(now)
+		run()
+		check("after re-install")
 	}
 }

@@ -2,6 +2,7 @@ package smartsouth
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -235,5 +236,58 @@ func TestRenderProgramDiscriminates(t *testing.T) {
 	}
 	if !strings.Contains(renderProgram(mk(100)), "group sw0 id=5 type=ff") {
 		t.Fatalf("render: %s", renderProgram(mk(100)))
+	}
+}
+
+// TestRemoteRejectsTableIDsBeyondWire cycles snapshot installs through the
+// wire control plane up to slot 26, whose tables start at 261: past 254,
+// the largest ID an OpenFlow 1.3 table_id byte can name. That install
+// must fail before any rule leaves the controller; encoded modulo 256,
+// its entries would land in slot 0's table 5.
+func TestRemoteRejectsTableIDsBeyondWire(t *testing.T) {
+	g := Ring(4)
+	d, err := DeployRemote(g, WithBackend("of13"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if _, err := d.InstallAnycast(map[uint32][]int{1: {2}}); err != nil {
+		t.Fatal(err)
+	}
+	const victim = 5 // a table of slot 0
+	if lo, hi := core.SlotTables(0); victim < lo || victim >= hi {
+		t.Fatalf("table %d is not slot 0's (%d..%d)", victim, lo, hi)
+	}
+	entries := func() []int {
+		n := make([]int, g.NumNodes())
+		for i := range n {
+			n[i] = d.Net.Switch(i).Table(victim).Len()
+		}
+		return n
+	}
+	if err := d.Run(); err != nil { // the barrier orders the agents' installs before the reads
+		t.Fatal(err)
+	}
+	before := entries()
+	// Slots 1..25 fit: a snapshot uses only the first tables of its slot.
+	for slot := 1; slot < 26; slot++ {
+		snap, err := d.InstallSnapshot()
+		if err != nil {
+			t.Fatalf("slot %d: %v", slot, err)
+		}
+		snap.Trigger(0, d.Net.Sim.Now())
+		if err := d.Run(); err != nil {
+			t.Fatalf("slot %d run: %v", slot, err)
+		}
+		d.Uninstall(slot)
+	}
+	if _, err := d.InstallSnapshot(); err == nil {
+		t.Fatal("slot 26's snapshot (tables from 261) installed over the wire")
+	}
+	if err := d.Run(); err != nil {
+		t.Fatalf("run after the rejected install: %v", err)
+	}
+	if got := entries(); !reflect.DeepEqual(got, before) {
+		t.Fatalf("slot 0's table %d entries: %v, want %v", victim, got, before)
 	}
 }

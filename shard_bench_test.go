@@ -18,12 +18,10 @@ import (
 // serial packet walk no amount of sharding can speed up.
 //
 // The bench drives internal/network + controller + core directly rather
-// than the facade: Deploy wires hop observers for the metrics registry,
-// and observer fan-out is serialized across worker lanes (obsMu), which
-// would measure lock contention instead of the engine. Wall-clock
-// speedup at 8 shards requires GOMAXPROCS >= 8; on fewer cores the same
-// rows measure the sharding overhead instead, which cmd/benchguard
-// gates via the shards ratio in BENCH_pr8.json.
+// than the facade, so it measures the engine alone. Wall-clock speedup
+// at 8 shards requires GOMAXPROCS >= 8; on fewer cores the same rows
+// measure the sharding overhead instead, which cmd/benchguard gates via
+// the shards ratio in BENCH_pr10.json.
 //
 // Each iteration also samples the Table-2 invariant: a burst of T
 // traversals must stay within T times the 4|E| per-sweep message bound.

@@ -252,3 +252,64 @@ func TestMetricsSnapshotShardInvariance(t *testing.T) {
 		}
 	}
 }
+
+// TestHopTraceShardInvariance pins hop-trace timestamps to the lane that
+// ran each execution: snapshot then anycast on FatTree(4), traced with a
+// ring larger than the run, must record the same events at every shard
+// count once sorted by (At, Switch, InPort). Seq, the order in which the
+// lanes' observer calls happened to serialize, is left out.
+func TestHopTraceShardInvariance(t *testing.T) {
+	g := mustGraph(FatTree(4))
+	const capacity = 1 << 12
+	render := func(shards int) []string {
+		d := Deploy(g, WithSeed(7), WithShards(shards), WithTrace(capacity))
+		snap, err := d.InstallSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap.Trigger(0, 0)
+		if err := d.Run(); err != nil {
+			t.Fatal(err)
+		}
+		any, err := d.InstallAnycast(map[uint32][]int{1: {g.NumNodes() - 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		any.Send(0, 1, nil, d.Net.Sim.Now())
+		if err := d.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if d.Trace.Dropped() > 0 {
+			t.Fatalf("shards=%d: ring of %d dropped %d events", shards, capacity, d.Trace.Dropped())
+		}
+		evs := d.TraceEvents()
+		sort.SliceStable(evs, func(i, j int) bool {
+			a, b := evs[i], evs[j]
+			if a.At != b.At {
+				return a.At < b.At
+			}
+			if a.Switch != b.Switch {
+				return a.Switch < b.Switch
+			}
+			return a.InPort < b.InPort
+		})
+		out := make([]string, len(evs))
+		for i, ev := range evs {
+			ev.Seq = 0
+			out[i] = ev.String()
+		}
+		return out
+	}
+	want := render(1)
+	for _, shards := range []int{2, 4} {
+		got := render(shards)
+		if len(got) != len(want) {
+			t.Fatalf("shards=%d: %d events, single loop %d", shards, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("shards=%d: event %d\n got: %s\nwant: %s", shards, i, got[i], want[i])
+			}
+		}
+	}
+}

@@ -70,7 +70,7 @@ type (
 	Packet = openflow.Packet
 	// Time is simulation time in nanoseconds.
 	Time = network.Time
-	// Hop is one in-band link crossing, as observed by Network.OnHop.
+	// Hop is one in-band link crossing, as observed by Network.ObserveHops.
 	Hop = network.Hop
 
 	// Snapshot is the §3.1 in-band topology snapshot service.
@@ -333,20 +333,12 @@ func newDeployment(g *Graph, cfg network.Config) *Deployment {
 	d := &Deployment{
 		Graph: g,
 		Net:   net,
-		reg:   metrics.NewRegistry(),
+		reg:   metrics.NewRegistry(net),
 		slots: core.NewSlotAllocator(0),
 	}
-	// In-band attribution: every link transmission of a claimed EtherType
-	// is credited to its service, with the sending lane's transmit time
-	// feeding the traversal wall-clock.
-	net.ObserveHops(func(at Time, _ Hop, pkt *Packet, _ bool) {
-		d.reg.NoteHop(at, pkt.EthType, pkt.Size())
-	})
 	if cfg.TraceCap > 0 {
 		d.Trace = trace.NewRecorder(cfg.TraceCap)
-		net.ObserveExec(func(sw, inPort int, pkt *openflow.Packet, res *openflow.Result) {
-			d.Trace.OnExec(net.Sim.Now(), sw, inPort, pkt, res)
-		})
+		net.ObserveExec(d.Trace.OnExec)
 	}
 	if cfg.Opts.Timeline > 0 {
 		d.timelineMax = cfg.Opts.Timeline * (net.Shards() + 1)
@@ -369,9 +361,15 @@ type analysisGate struct {
 	d *Deployment
 }
 
-// GateProgram composes the candidate with the retained programs and
-// rejects it if the analyzer finds any error-severity defect.
+// GateProgram consults the wrapped plane's gate first, then composes the
+// candidate with the retained programs and rejects it if the analyzer
+// finds any error-severity defect.
 func (g *analysisGate) GateProgram(p *Program) error {
+	if inner, ok := g.ControlPlane.(core.ProgramGater); ok {
+		if err := inner.GateProgram(p); err != nil {
+			return err
+		}
+	}
 	progs := append(g.ControlPlane.Programs(), p)
 	errs := analysis.Errors(analysis.CheckDeployment(progs, g.d.Graph, g.d.analysisOptions()))
 	if len(errs) > 0 {
